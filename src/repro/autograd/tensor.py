@@ -49,31 +49,32 @@ __all__ = [
 ]
 
 # ---------------------------------------------------------------------------
-# global grad-enabled switch
+# grad-enabled switch (per thread)
 # ---------------------------------------------------------------------------
 
-_GRAD_ENABLED = True
+# Thread-local like the op trace below: serving threads that overlap inside
+# ``no_grad()`` must not restore each other's saved mode.
+_GRAD_TLS = threading.local()
 
 
 def is_grad_enabled() -> bool:
-    """Return ``True`` when operations should build the autograd graph."""
-    return _GRAD_ENABLED
+    """Return ``True`` when operations on this thread should build the autograd graph."""
+    return getattr(_GRAD_TLS, "enabled", True)
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Context manager that disables graph construction.
+    """Context manager that disables graph construction on the calling thread.
 
     Inside the block every operation behaves like a plain NumPy computation:
     results have ``requires_grad=False`` and no backward closures are stored.
     """
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    previous = getattr(_GRAD_TLS, "enabled", True)
+    _GRAD_TLS.enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = previous
+        _GRAD_TLS.enabled = previous
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,10 @@ __all__ = [
 
 IntOrPair = Union[int, Tuple[int, int]]
 
+#: Minimum row width (``pixels * channels``) of the sequence batch norm's
+#: channels-last elementwise passes; see ``BatchNormSequenceFunction._lanes``.
+_BN_LANE_WIDTH = 256
+
 
 class Conv2d(StatelessModule):
     """2-D convolution layer (supports asymmetric kernels, e.g. 3x1 / 1x3).
@@ -145,6 +149,11 @@ class BatchNormSequenceFunction(Function):
     ``alpha * V_th`` into the affine transform.  ``channels_last`` selects
     the engine's native ``(T, N, H, W, C)`` layout (``(T, N, C, H, W)``
     otherwise).
+
+    Every per-``(t, c)`` reduction goes through :meth:`_channel_sum` (a
+    ones-vector GEMV on channels-last input); the forward saves the centered
+    input and a ``(T, C)`` inverse std, and the backward needs only the two
+    channel sums ``sum(g)`` and ``sum(g * centered)``.
     """
 
     def __init__(self, eps: float, training: bool,
@@ -160,18 +169,44 @@ class BatchNormSequenceFunction(Function):
         self.channels_last = channels_last
         self.batch_mean: Optional[np.ndarray] = None   # (T, C), read by the layer
         self.batch_var: Optional[np.ndarray] = None
-        self._xhat: Optional[np.ndarray] = None
-        self._inv_std: Optional[np.ndarray] = None
+        self._centered: Optional[np.ndarray] = None
+        self._inv_std: Optional[np.ndarray] = None     # (T, C), or (1, C) in eval mode
         self._weight: Optional[np.ndarray] = None
         self._affine = False
-
-    @property
-    def _axes(self):
-        return (1, 2, 3) if self.channels_last else (1, 3, 4)
+        self._lane = 0                                 # row width of _lanes, set by forward
 
     def _param_shape(self):
         # Broadcast shape of the per-channel parameters / running stats.
         return (1, 1, 1, 1, -1) if self.channels_last else (1, 1, -1, 1, 1)
+
+    def _lanes(self, x: np.ndarray) -> np.ndarray:
+        """3-D view of ``x`` that every elementwise pass runs on.
+
+        Channels-last input becomes ``(T, M / k, k * C)``: ``k`` consecutive
+        pixels share one row, so a per-channel broadcast runs an inner loop
+        ``k * C`` wide instead of ``C`` (16 at the first VGG block).
+        Channels-first input becomes ``(T, N, C, H * W)``.
+        """
+        if self.channels_last:
+            return x.reshape(x.shape[0], -1, self._lane)
+        return x.reshape(x.shape[:3] + (-1,))
+
+    def _per_tc(self, coeff: np.ndarray) -> np.ndarray:
+        """Shape a ``(T, C)`` (or ``(1, C)``) coefficient to broadcast over :meth:`_lanes`."""
+        rows, channels = coeff.shape
+        if self.channels_last:
+            return np.tile(coeff, self._lane // channels).reshape(rows, 1, self._lane)
+        return coeff.reshape(rows, 1, channels, 1)
+
+    def _channel_sum(self, x: np.ndarray) -> np.ndarray:
+        """Sum ``x`` over ``(N, H, W)`` for every ``(t, c)``; returns ``(T, C)``."""
+        if not self.channels_last:
+            # The contiguous H*W axis first, then the batch.
+            return self._lanes(x).sum(axis=-1).sum(axis=1)
+        x3 = x.reshape(x.shape[0], -1, x.shape[-1])
+        ones = ws_buf(self, "ones", (x3.shape[1],), x.dtype)
+        ones.fill(1)
+        return ones @ x3
 
     def forward(self, *arrays: np.ndarray) -> np.ndarray:
         x = arrays[0]
@@ -181,46 +216,36 @@ class BatchNormSequenceFunction(Function):
         else:
             weight = bias = None
         channels = x.shape[-1] if self.channels_last else x.shape[2]
-        has_ws = self._ws is not None
+        count = x.size // (x.shape[0] * channels)
+        pixels = 1
+        while pixels * channels < _BN_LANE_WIDTH and count % (2 * pixels) == 0:
+            pixels *= 2
+        self._lane = pixels * channels
+        centered = ws_buf(self, "centered", x.shape, x.dtype)
+        out = ws_buf(self, "out", x.shape, x.dtype)
+        x_lanes, centered_lanes, out_lanes = self._lanes(x), self._lanes(centered), self._lanes(out)
         if self.training:
-            mean = x.mean(axis=self._axes, keepdims=True)
-            if has_ws:
-                centered = ws_buf(self, "xhat", x.shape, x.dtype)
-                np.subtract(x, mean, out=centered)
-                squared = ws_buf(self, "sq", x.shape, x.dtype)
-                np.multiply(centered, centered, out=squared)
-                var = np.mean(squared, axis=self._axes, keepdims=True)
-            else:
-                centered = x - mean
-                var = np.mean(centered * centered, axis=self._axes, keepdims=True)
-            self.batch_mean = mean.reshape(x.shape[0], channels)
-            self.batch_var = var.reshape(x.shape[0], channels)
-            inv_std = 1.0 / np.sqrt(var + self.eps)
-            xhat = centered
-            xhat *= inv_std
+            mean = self._channel_sum(x) / count
+            np.subtract(x_lanes, self._per_tc(mean), out=centered_lanes)
+            np.multiply(centered_lanes, centered_lanes, out=out_lanes)   # squares, overwritten below
+            var = self._channel_sum(out) / count
+            self.batch_mean = mean
+            self.batch_var = var
         else:
-            mean = self.running_mean.reshape(self._param_shape())
-            var = self.running_var.reshape(self._param_shape())
-            inv_std = 1.0 / np.sqrt(var + self.eps)
-            if has_ws:
-                xhat = ws_buf(self, "xhat", x.shape, x.dtype)
-                np.subtract(x, mean, out=xhat)
-            else:
-                xhat = x - mean
-            xhat *= inv_std
-        self._xhat = xhat
+            np.subtract(x_lanes, self._per_tc(self.running_mean.reshape(1, channels)),
+                        out=centered_lanes)
+            var = self.running_var.reshape(1, channels)
+        inv_std = 1.0 / np.sqrt(var + self.eps)
+        self._centered = centered
         self._inv_std = inv_std
-        if weight is None:
-            return xhat.astype(x.dtype, copy=False)
-        self._weight = weight
-        scale = self.gamma_scale * weight.reshape(self._param_shape())
-        if has_ws:
-            out = ws_buf(self, "out", x.shape, x.dtype)
-            np.multiply(xhat, scale, out=out)
-        else:
-            out = xhat * scale
-        out += bias.reshape(self._param_shape())
-        return out.astype(x.dtype, copy=False)
+        coeff = inv_std
+        if weight is not None:
+            self._weight = weight
+            coeff = inv_std * (self.gamma_scale * weight)
+        np.multiply(centered_lanes, self._per_tc(coeff), out=out_lanes)
+        if bias is not None:
+            out_lanes += self._per_tc(bias.reshape(1, channels))
+        return out
 
     def update_running_stats(self, running_mean: np.ndarray, running_var: np.ndarray,
                              momentum: float) -> None:
@@ -264,68 +289,36 @@ class BatchNormSequenceFunction(Function):
         return out.astype(x.dtype, copy=False)
 
     def backward(self, grad_output: np.ndarray):
-        xhat = self._xhat
+        # With xhat = centered * inv_std and the per-(t, c) sums over M = N*H*W
+        # samples, the batch-statistics gradient collapses to
+        #   dx = g*s + centered*b + c,   s = gamma' * inv_std,
+        #   b = -s * inv_std**2 * sum(g*centered) / M,   c = -s * sum(g) / M.
+        centered = self._centered
         inv_std = self._inv_std
-        has_ws = self._ws is not None
-        param_axes = (0, 1, 2, 3) if self.channels_last else (0, 1, 3, 4)
+        scale = inv_std
         if self._affine:
-            if has_ws:
-                product = ws_buf(self, "sq", xhat.shape, xhat.dtype)
-                np.multiply(grad_output, xhat, out=product)
-                grad_weight = self.gamma_scale * product.sum(axis=param_axes)
-            else:
-                grad_weight = self.gamma_scale * (grad_output * xhat).sum(axis=param_axes)
-            grad_bias = grad_output.sum(axis=param_axes)
-            scale = self.gamma_scale * self._weight.reshape(self._param_shape())
-            if has_ws:
-                grad_xhat = ws_buf(self, "gxh", grad_output.shape, grad_output.dtype)
-                np.multiply(grad_output, scale, out=grad_xhat)
-            else:
-                grad_xhat = grad_output * scale
-        else:
-            grad_weight = grad_bias = None
-            grad_xhat = grad_output
+            scale = inv_std * (self.gamma_scale * self._weight)
+        centered_lanes, grad_lanes = self._lanes(centered), self._lanes(grad_output)
+        if self._affine or self.training:
+            grad_sum = self._channel_sum(grad_output)
+            product = ws_buf(self, "product", centered.shape, centered.dtype)
+            product_lanes = self._lanes(product)
+            np.multiply(grad_lanes, centered_lanes, out=product_lanes)
+            grad_centered_sum = self._channel_sum(product)
+        grad_x = ws_buf(self, "grad_x", grad_output.shape, grad_output.dtype)
+        grad_x_lanes = self._lanes(grad_x)
+        np.multiply(grad_lanes, self._per_tc(scale), out=grad_x_lanes)
         if self.training:
-            # d x = inv_std * (g - mean(g) - xhat * mean(g * xhat)), means per
-            # timestep over (N, H, W) — the analytic gradient of normalising
-            # with batch statistics that themselves depend on x.
-            grad_mean = grad_xhat.mean(axis=self._axes, keepdims=True)
-            if has_ws:
-                product = ws_buf(self, "sq", xhat.shape, xhat.dtype)
-                np.multiply(grad_xhat, xhat, out=product)
-                grad_proj = product.mean(axis=self._axes, keepdims=True)
-            else:
-                grad_proj = (grad_xhat * xhat).mean(axis=self._axes, keepdims=True)
-            if grad_xhat is grad_output:
-                # Never mutate the upstream gradient in place.
-                if has_ws:
-                    buffer = ws_buf(self, "gxh", grad_output.shape, grad_output.dtype)
-                    np.copyto(buffer, grad_output)
-                    grad_xhat = buffer
-                else:
-                    grad_xhat = grad_xhat.copy()
-            grad_xhat -= grad_mean
-            if has_ws:
-                scratch = ws_buf(self, "sq", xhat.shape, xhat.dtype)
-                np.multiply(xhat, grad_proj, out=scratch)
-                grad_xhat -= scratch
-            else:
-                grad_xhat -= xhat * grad_proj
-            grad_xhat *= inv_std
-            grad_x = grad_xhat
-        else:
-            if grad_xhat is grad_output:
-                if has_ws:
-                    grad_x = ws_buf(self, "gxh", grad_output.shape, grad_output.dtype)
-                    np.multiply(grad_xhat, inv_std, out=grad_x)
-                else:
-                    grad_x = grad_xhat * inv_std
-            else:
-                grad_xhat *= inv_std
-                grad_x = grad_xhat
-        if self._affine:
-            return grad_x, grad_weight, grad_bias
-        return (grad_x,)
+            count = centered.size // grad_sum.size
+            slope = scale * inv_std * inv_std * grad_centered_sum / -count
+            np.multiply(centered_lanes, self._per_tc(slope), out=product_lanes)
+            grad_x_lanes += product_lanes
+            grad_x_lanes += self._per_tc(scale * grad_sum / -count)
+        if not self._affine:
+            return (grad_x,)
+        grad_weight = self.gamma_scale * (inv_std * grad_centered_sum).sum(axis=0)
+        grad_bias = grad_sum.sum(axis=0)
+        return grad_x, grad_weight, grad_bias
 
 
 class BatchNorm2d(Module):

@@ -1,9 +1,13 @@
 """Unit tests for the core autograd Tensor."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro.autograd.tensor import Tensor, no_grad, is_grad_enabled, as_tensor
+from repro.nn.module import Parameter
 
 from conftest import assert_grad_close, numerical_gradient
 
@@ -215,6 +219,56 @@ class TestGraphMechanics:
             assert not x.requires_grad
             y = x * 2
             assert y._prev == ()
+        assert is_grad_enabled()
+
+    def test_no_grad_is_per_thread(self):
+        # Two threads overlap inside no_grad() and exit in the wrong order;
+        # with one process-wide flag the second exit would restore "off" for
+        # everyone.
+        entered = [threading.Event(), threading.Event()]
+        release = [threading.Event(), threading.Event()]
+
+        def worker(index):
+            with no_grad():
+                entered[index].set()
+                release[index].wait(5)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+        threads[0].start()
+        entered[0].wait(5)
+        threads[1].start()
+        entered[1].wait(5)
+        assert is_grad_enabled()
+        release[0].set()
+        threads[0].join(5)
+        release[1].set()
+        threads[1].join(5)
+        assert not any(thread.is_alive() for thread in threads)
+        assert is_grad_enabled()
+        assert Parameter(np.ones(2)).requires_grad
+
+    def test_parameters_keep_grad_while_threads_cycle_no_grad(self):
+        stop = threading.Event()
+
+        def worker():
+            while not stop.is_set():
+                with no_grad():
+                    Tensor(np.ones(2)) * 2
+
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            flags = [Parameter(np.ones(2)).requires_grad for _ in range(2000)]
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(5)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(flags)
         assert is_grad_enabled()
 
     def test_as_tensor_passthrough(self):

@@ -8,6 +8,7 @@ from repro.nn.layers import (
     AdaptiveAvgPool2d,
     AvgPool2d,
     BatchNorm2d,
+    BatchNormSequenceFunction,
     Conv2d,
     Dropout,
     Flatten,
@@ -15,8 +16,12 @@ from repro.nn.layers import (
     Linear,
     MaxPool2d,
     ReLU,
+    batch_norm_sequence,
 )
 from repro.nn import init
+from repro.nn.module import Parameter
+from repro.runtime import CompiledTrainStep
+from repro.snn.loss import mean_output_cross_entropy
 
 
 class TestConv2dLayer:
@@ -99,6 +104,210 @@ class TestBatchNorm2d:
     def test_gamma_init(self):
         bn = BatchNorm2d(3, gamma_init=0.5)
         np.testing.assert_allclose(bn.weight.data, np.full(3, 0.5))
+
+
+# (T, N, H, W, C) with N*H*W = 105, not a power of two.
+BN_SEQ_SHAPE = (3, 5, 3, 7, 4)
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.1
+GAMMA_SCALE = 1.7
+
+
+def _bn_sequence_reference(x, grad, weight, bias, running_mean, running_var,
+                           training, channels_last):
+    """Float64 per-timestep batch norm: outputs, statistics and gradients."""
+    x = np.asarray(x, dtype=np.float64)
+    grad = np.asarray(grad, dtype=np.float64)
+    if not channels_last:
+        x, grad = np.moveaxis(x, 2, -1), np.moveaxis(grad, 2, -1)
+    channels = x.shape[-1]
+    affine = weight is not None
+    gamma = GAMMA_SCALE * np.asarray(weight, np.float64) if affine else np.ones(channels)
+    beta = np.asarray(bias, np.float64) if affine else np.zeros(channels)
+    run_mean = running_mean.astype(np.float64)
+    run_var = running_var.astype(np.float64)
+    out, dx = np.empty_like(x), np.empty_like(x)
+    means, variances = [], []
+    dgamma, dbeta = np.zeros(channels), np.zeros(channels)
+    for t in range(x.shape[0]):
+        xt, gt = x[t].reshape(-1, channels), grad[t].reshape(-1, channels)
+        if training:
+            mean, var = xt.mean(axis=0), xt.var(axis=0)
+        else:
+            mean, var = running_mean.astype(np.float64), running_var.astype(np.float64)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
+        xhat = (xt - mean) * inv_std
+        out[t] = (xhat * gamma + beta).reshape(x.shape[1:])
+        g_xhat = gt * gamma
+        if training:
+            dxt = inv_std * (g_xhat - g_xhat.mean(axis=0)
+                             - xhat * (g_xhat * xhat).mean(axis=0))
+            run_mean = (1 - BN_MOMENTUM) * run_mean + BN_MOMENTUM * mean
+            run_var = (1 - BN_MOMENTUM) * run_var + BN_MOMENTUM * var
+        else:
+            dxt = g_xhat * inv_std
+        dx[t] = dxt.reshape(x.shape[1:])
+        dgamma += GAMMA_SCALE * (gt * xhat).sum(axis=0)
+        dbeta += gt.sum(axis=0)
+        means.append(mean)
+        variances.append(var)
+    if not channels_last:
+        out, dx = np.moveaxis(out, -1, 2), np.moveaxis(dx, -1, 2)
+    return dict(out=out, dx=dx, dgamma=dgamma, dbeta=dbeta, mean=np.array(means),
+                var=np.array(variances), running_mean=run_mean, running_var=run_var)
+
+
+def _bn_sequence_inputs(channels_last, seed=0):
+    rng = np.random.default_rng(seed)
+    shape = BN_SEQ_SHAPE if channels_last else tuple(np.array(BN_SEQ_SHAPE)[[0, 1, 4, 2, 3]])
+    channels = BN_SEQ_SHAPE[-1]
+    # A per-channel offset and spread so centering actually matters.
+    offset = rng.standard_normal(channels) * 3
+    spread = rng.uniform(0.5, 2.0, channels)
+    axis_shape = (1, 1, 1, 1, -1) if channels_last else (1, 1, -1, 1, 1)
+    x = (rng.standard_normal(shape) * spread.reshape(axis_shape)
+         + offset.reshape(axis_shape)).astype(np.float32)
+    grad = rng.standard_normal(shape).astype(np.float32)
+    weight = rng.uniform(0.5, 1.5, channels).astype(np.float32)
+    bias = rng.standard_normal(channels).astype(np.float32)
+    running_mean = rng.standard_normal(channels).astype(np.float32)
+    running_var = rng.uniform(0.5, 2.0, channels).astype(np.float32)
+    return x, grad, weight, bias, running_mean, running_var
+
+
+class TestBatchNormSequenceFunction:
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("affine", [True, False])
+    @pytest.mark.parametrize("channels_last", [True, False])
+    def test_matches_float64_per_timestep_reference(self, channels_last, affine, training):
+        x, grad, weight, bias, running_mean, running_var = _bn_sequence_inputs(channels_last)
+        if not affine:
+            weight = bias = None
+        want = _bn_sequence_reference(x, grad, weight, bias, running_mean, running_var,
+                                      training, channels_last)
+        ctx = BatchNormSequenceFunction(
+            eps=BN_EPS, training=training, running_mean=running_mean.copy(),
+            running_var=running_var.copy(), gamma_scale=GAMMA_SCALE,
+            channels_last=channels_last)
+        arrays = (x, weight, bias) if affine else (x,)
+        out = ctx.forward(*arrays)
+        assert out.dtype == np.float32
+        np.testing.assert_allclose(out, want["out"], rtol=1e-5, atol=2e-5)
+        if training:
+            np.testing.assert_allclose(ctx.batch_mean, want["mean"], rtol=1e-5, atol=1e-5)
+            np.testing.assert_allclose(ctx.batch_var, want["var"], rtol=1e-5, atol=1e-5)
+            run_mean, run_var = running_mean.copy(), running_var.copy()
+            ctx.update_running_stats(run_mean, run_var, BN_MOMENTUM)
+            np.testing.assert_allclose(run_mean, want["running_mean"], rtol=1e-5, atol=1e-6)
+            np.testing.assert_allclose(run_var, want["running_var"], rtol=1e-5, atol=1e-6)
+        grad_before = grad.copy()
+        grads = ctx.backward(grad)
+        np.testing.assert_array_equal(grad, grad_before)
+        np.testing.assert_allclose(grads[0], want["dx"], rtol=1e-4, atol=1e-5)
+        if affine:
+            assert len(grads) == 3
+            np.testing.assert_allclose(grads[1], want["dgamma"], rtol=1e-4, atol=1e-3)
+            np.testing.assert_allclose(grads[2], want["dbeta"], rtol=1e-4, atol=1e-3)
+        else:
+            assert len(grads) == 1
+
+    @pytest.mark.parametrize("channels_last", [True, False])
+    def test_reference_gradient_matches_finite_differences(self, channels_last):
+        # The float64 kernel's input and weight gradients against central
+        # differences of sum(out * grad), independent of the reference above.
+        x, grad, weight, bias, running_mean, running_var = _bn_sequence_inputs(channels_last, 3)
+        x = x[:, :2, ...].astype(np.float64)
+        grad = grad[:, :2, ...].astype(np.float64)
+        weight = weight.astype(np.float64)
+
+        def objective(x_value, weight_value):
+            ctx = BatchNormSequenceFunction(eps=BN_EPS, training=True,
+                                            gamma_scale=GAMMA_SCALE,
+                                            channels_last=channels_last)
+            return float((ctx.forward(x_value, weight_value, bias) * grad).sum())
+
+        ctx = BatchNormSequenceFunction(eps=BN_EPS, training=True, gamma_scale=GAMMA_SCALE,
+                                        channels_last=channels_last)
+        ctx.forward(x, weight, bias)
+        dx, dgamma, _ = ctx.backward(grad)
+        step = 1e-6
+        rng = np.random.default_rng(4)
+        for flat in rng.choice(x.size, 12, replace=False):
+            index = np.unravel_index(flat, x.shape)
+            bumped_up, bumped_down = x.copy(), x.copy()
+            bumped_up[index] += step
+            bumped_down[index] -= step
+            numeric = (objective(bumped_up, weight) - objective(bumped_down, weight)) / (2 * step)
+            assert dx[index] == pytest.approx(numeric, rel=1e-4, abs=1e-6)
+        for channel in range(weight.size):
+            up, down = weight.copy(), weight.copy()
+            up[channel] += step
+            down[channel] -= step
+            numeric = (objective(x, up) - objective(x, down)) / (2 * step)
+            assert dgamma[channel] == pytest.approx(numeric, rel=1e-4, abs=1e-6)
+
+    @pytest.mark.parametrize("affine", [True, False])
+    @pytest.mark.parametrize("channels_last", [True, False])
+    def test_compiled_o1_replays_bit_exact_with_o0(self, channels_last, affine):
+        # Fresh batches on every replay: a workspace buffer left stale from
+        # the previous replay would make O1 drift from O0's fresh contexts.
+        models = [_BatchNormProbe(channels_last, affine) for _ in range(2)]
+        steps = [CompiledTrainStep(model, mean_output_cross_entropy, optimize=level)
+                 for model, level in zip(models, ("O0", "O1"))]
+        rng = np.random.default_rng(5)
+        for step_index in range(4):       # one capture + three replays
+            batch = _bn_sequence_inputs(channels_last, seed=10 + step_index)[0]
+            labels = rng.integers(0, _BatchNormProbe.CLASSES, batch.shape[1])
+            results = []
+            for model, step in zip(models, steps):
+                for param in model.parameters():
+                    param.zero_grad()
+                results.append(step.run(batch, labels))
+            (loss0, logits0, _), (loss1, logits1, replayed) = results
+            assert replayed == (step_index > 0)
+            assert loss0 == loss1
+            for got, want in zip(logits1, logits0):
+                np.testing.assert_array_equal(got, want)
+            for p0, p1 in zip(models[0].parameters(), models[1].parameters()):
+                np.testing.assert_array_equal(p1.grad, p0.grad)
+            np.testing.assert_array_equal(models[1].running_mean, models[0].running_mean)
+            np.testing.assert_array_equal(models[1].running_var, models[0].running_var)
+
+
+class _BatchNormProbe:
+    """Duck-typed model: input gain -> sequence batch norm -> tanh -> linear.
+
+    The learnable per-channel input gain puts the batch norm's input
+    gradient on the parameter gradients the replay check compares.
+    """
+
+    CLASSES = 3
+
+    def __init__(self, channels_last, affine):
+        rng = np.random.default_rng(1)
+        channels = BN_SEQ_SHAPE[-1]
+        features = int(np.prod(BN_SEQ_SHAPE[2:]))
+        self.channels_last = channels_last
+        self.weight = Parameter(rng.uniform(0.5, 1.5, channels).astype(np.float32)) if affine else None
+        self.bias = Parameter(rng.standard_normal(channels).astype(np.float32)) if affine else None
+        gain_shape = (1, 1, 1, 1, channels) if channels_last else (1, 1, channels, 1, 1)
+        self.gain = Parameter(rng.uniform(0.5, 1.5, gain_shape).astype(np.float32))
+        self.head = Parameter((rng.standard_normal((features, self.CLASSES)) * 0.1).astype(np.float32))
+        self.running_mean = np.zeros(channels, np.float32)
+        self.running_var = np.ones(channels, np.float32)
+        self.training = True
+        self.timesteps = BN_SEQ_SHAPE[0]
+        self.step_mode = "fused"
+
+    def parameters(self):
+        return [p for p in (self.gain, self.weight, self.bias, self.head) if p is not None]
+
+    def run_timesteps(self, batch, step_mode=None):
+        out = batch_norm_sequence(
+            batch * self.gain, self.weight, self.bias, eps=BN_EPS, momentum=BN_MOMENTUM,
+            training=True, running_mean=self.running_mean, running_var=self.running_var,
+            gamma_scale=GAMMA_SCALE, channels_last=self.channels_last).tanh()
+        return [out[t].reshape(batch.shape[1], -1) @ self.head for t in range(self.timesteps)]
 
 
 class TestPoolingLayers:
