@@ -1,20 +1,23 @@
 """Benchmark for the multi-backend kernel registry (:mod:`repro.runtime.backends`).
 
-Measures what the native backends buy on the hot fused kernels and records
+Measures what the numba backend buys on the hot fused kernels and records
 the numbers to ``BENCH_runtime.json``.  Assertions are tiered by what is
 installed:
 
-* **always** — native backends hold the parity bounds against the NumPy
-  reference (train losses and serve logits), keep the zero-steady-state
-  arena-allocation property, and the profiler attributes every hot kernel
-  to the backend that executed it;
-* **with numba** — the jitted flat-loop kernels replay the fused
-  ``ew_chain`` + LIF portion of a VGG-9 ``T = 4`` O1 train step at least
-  **1.5x** faster than the NumPy reference kernels, and the end-to-end O2
-  serve path at least **1.3x** faster;
-* **without numba** — the numba-gated tests skip; the reference and
-  ``codegen`` paths still run every assertion above, so the benchmark file
-  passes on a NumPy-only machine.
+* **always** — ``backend="auto"`` resolves to ``numba`` where it is
+  installed and to ``numpy`` elsewhere, holds the parity bound against the
+  NumPy reference, keeps the zero-steady-state arena-allocation property,
+  and the profiler attributes every hot kernel to the backend that
+  executed it;
+* **with numba** — ``auto`` substitutes native kernels, the jitted
+  flat-loop kernels replay the fused ``ew_chain`` + LIF portion of a VGG-9
+  ``T = 4`` O1 train step at least **1.5x** faster than the NumPy reference
+  kernels, and the end-to-end O2 serve path at least **1.3x** faster;
+* **without numba** — the numba-gated tests and asserts skip, so the
+  benchmark file passes on a NumPy-only machine.  The native-kernel
+  behaviours themselves (verification, fallback, accounting, zero steady
+  allocations) are covered by ``tests/test_backends.py``, which runs the
+  flat-loop kernels un-jitted.
 """
 
 from __future__ import annotations
@@ -86,8 +89,9 @@ def test_native_backend_train_parity_and_accounting():
 
     stats = native.runtime_stats()
     backend = stats["backend"]
-    assert backend["active"] in ("codegen", "numba")
-    assert backend["native_nodes"] > 0
+    assert backend["active"] == ("numba" if NUMBA_AVAILABLE else "numpy")
+    if NUMBA_AVAILABLE:
+        assert backend["native_nodes"] > 0
     assert backend["native_replays"] == backend["native_nodes"] * stats["replays"]
     executed = {kernel_backend(label) for label in stats["kernels"]}
     assert backend["active"] in executed
@@ -205,5 +209,6 @@ def test_serve_backend_latency_report():
               f"native nodes {entry['native_nodes']}")
     path = record_bench("serve_backend_latency", report)
     print(f"recorded to {path}")
-    assert report["auto"]["backend"] in ("codegen", "numba")
-    assert report["auto"]["native_nodes"] > 0
+    assert report["auto"]["backend"] == ("numba" if NUMBA_AVAILABLE else "numpy")
+    if NUMBA_AVAILABLE:
+        assert report["auto"]["native_nodes"] > 0

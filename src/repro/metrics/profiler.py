@@ -65,7 +65,7 @@ def summarize_runtime(source, top_k: int = 10) -> Dict[str, object]:
     graph-optimizer and backend wins are attributable to specific kernels.
     ``backend`` is the backend that *executed* the kernel, parsed from the
     planner's ``op@<backend>`` labels: ``"numpy"`` for reference kernels,
-    ``"codegen"`` / ``"numba"`` for native ones, and ``"fallback"`` for
+    ``"numba"`` for native ones, and ``"fallback"`` for
     nodes a native backend declined (replayed on NumPy per-node fallback).
     """
     stats_fn = getattr(source, "runtime_stats", None)

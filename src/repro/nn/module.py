@@ -235,8 +235,8 @@ class Module:
         per-kernel timings.
 
         ``backend`` selects the kernel backend for the plans (``"numpy"``
-        reference, ``"codegen"`` / ``"numba"`` native with per-node
-        fallback, ``"auto"`` for the fastest available — see
+        reference, ``"numba"`` native with per-node fallback, ``"auto"`` for
+        ``numba`` when installed, else ``numpy`` — see
         :mod:`repro.runtime.backends`).  ``dtype`` (``"float32"`` /
         ``"float64"``) recasts this module in place via :meth:`astype` and
         makes the compiled forward cast its inputs to match; the default

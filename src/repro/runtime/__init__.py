@@ -33,7 +33,7 @@ that steady-state overhead with a three-stage pipeline:
    input signature (shape/dtype/train-mode/timesteps/step-mode) changes.
 
 A **kernel backend registry** (:mod:`~repro.runtime.backends`) sits between
-plan and replay: ``backend="codegen"`` / ``"numba"`` / ``"auto"`` swaps the
+plan and replay: ``backend="numba"`` / ``"auto"`` swaps the
 plan's fused ``ew_chain`` and LIF-recurrence nodes for plan-time-generated
 native kernels (shape/dtype/constants baked in, verified against the NumPy
 reference on the captured arrays, per-node fallback on decline), and a

@@ -1,8 +1,7 @@
 """Multi-backend kernel registry for the compiled runtime.
 
-Importing the package registers the three process backends — ``numpy``
-(reference), ``codegen`` (exec-compiled specialized Python, always
-available) and ``numba`` (``@njit`` flat loops, gracefully absent) — into
+Importing the package registers the two process backends — ``numpy``
+(reference) and ``numba`` (``@njit`` flat loops, gracefully absent) — into
 :data:`~repro.runtime.backends.base.REGISTRY`.  See ``README.md`` §Backends
 for the selection/fallback contract.
 """
@@ -18,13 +17,11 @@ from repro.runtime.backends.base import (
     register_backend,
     resolve_backend,
 )
-from repro.runtime.backends.codegen_backend import CodegenBackend
 from repro.runtime.backends.numba_backend import NUMBA_AVAILABLE, NumbaBackend
 from repro.runtime.backends.numpy_backend import NumpyBackend
 
 __all__ = [
     "Backend",
-    "CodegenBackend",
     "KernelRegistry",
     "NativeKernel",
     "NUMBA_AVAILABLE",
@@ -39,5 +36,4 @@ __all__ = [
 ]
 
 register_backend(NumpyBackend())
-register_backend(CodegenBackend())
 register_backend(NumbaBackend())

@@ -9,24 +9,19 @@ the NumPy reference kernel from :mod:`repro.runtime.ops`, so a plan is always
 complete and a backend only ever *adds* speed (per-node fallback).
 
 Backends live in a :class:`KernelRegistry`; :data:`REGISTRY` is the process
-default with three members:
+default with two members:
 
 ``numpy``
     The always-on reference backend.  Compiles nothing — every node replays
     the registry kernels, which are the parity oracle for everything else.
-``codegen``
-    Dependency-free native backend: the plan-time code generator
-    (:mod:`repro.runtime.backends.codegen`) emits one specialized Python
-    function per ``ew_chain`` / LIF-recurrence node (constants, shapes,
-    branch structure and workspace buffers baked in) and ``exec``-compiles
-    it.  Always available; used to exercise the whole native path — and the
-    per-node fallback machinery — on machines without numba.
 ``numba``
-    ``@njit``-compiled flat-loop kernels from the same code generator
-    (:mod:`repro.runtime.backends.numba_backend`).  Gracefully absent when
-    numba is not installed: the backend still registers, reports
-    ``available = False``, and :meth:`KernelRegistry.resolve` silently falls
-    back to the reference backend.
+    ``@njit``-compiled flat-loop kernels from the plan-time code generator
+    (:mod:`repro.runtime.backends.codegen`), one per ``ew_chain`` /
+    LIF-recurrence node (:mod:`repro.runtime.backends.numba_backend`).
+    Gracefully absent when numba is not installed: the backend still
+    registers, reports ``available = False``, and
+    :meth:`KernelRegistry.resolve` silently falls back to the reference
+    backend.
 
 Every kernel a native backend compiles is verified at plan time against the
 reference kernel on the captured arrays (forward and, for training plans,
@@ -76,7 +71,7 @@ class NativeKernel:
 class Backend:
     """A named kernel provider; subclasses implement :meth:`compile_node`."""
 
-    #: registry name (``numpy`` / ``codegen`` / ``numba``)
+    #: registry name (``numpy`` / ``numba``)
     name = "base"
     #: the reference backend replays registry kernels and never compiles
     is_reference = False
@@ -143,18 +138,12 @@ class KernelRegistry:
     def resolve(self, name: str) -> Backend:
         """Backend for ``name``, degrading gracefully to the reference.
 
-        ``"auto"`` picks the fastest available backend (``numba`` if it can
-        compile, else ``codegen``).  A registered-but-unavailable backend
-        (numba not installed) resolves to the reference backend — callers
-        can tell from ``resolve(name).name != name`` and the plan stats.
+        ``"auto"`` picks ``numba`` if it can compile, else the reference.  A
+        registered-but-unavailable backend (numba not installed) resolves to
+        the reference backend — callers can tell from
+        ``resolve(name).name != name`` and the plan stats.
         """
-        if name == "auto":
-            for candidate in ("numba", "codegen"):
-                backend = self._backends.get(candidate)
-                if backend is not None and backend.available:
-                    return backend
-            return self.reference()
-        backend = self.get(name)
+        backend = self.get("numba" if name == "auto" else name)
         if not backend.available:
             return self.reference()
         return backend

@@ -1,6 +1,6 @@
-"""Optional ``@njit`` backend over the flat-loop codegen mode.
+"""Optional ``@njit`` backend over the plan-time flat-loop code generator.
 
-Takes the numba-mode sources from :mod:`repro.runtime.backends.codegen`
+Takes the flat-loop sources from :mod:`repro.runtime.backends.codegen`
 (single scalar loop per kernel, zero intermediate arrays), compiles them
 with ``numba.njit`` and marshals plan buffers as raveled views so replays
 stay allocation-free.  JIT compilation is triggered by the plan-time
@@ -10,7 +10,7 @@ source, so re-captures of the same node shape reuse the machine code.
 
 Gracefully absent: when numba is not installed the backend still registers
 but reports ``available = False`` and ``KernelRegistry.resolve`` degrades to
-the reference backend.  The numba mode only specializes uniform-shape
+the reference backend.  The code generator only specializes uniform-shape
 chains (every step produces the output shape, externals same-shape or
 scalar) — broadcast chains are declined per node and replay on NumPy.
 """

@@ -908,9 +908,9 @@ def compile_plan(capture: GraphCapture, arena: Optional[BufferArena] = None,
     top-k table by :func:`repro.metrics.profiler.summarize_runtime`).
 
     ``backend`` selects the kernel backend (:mod:`repro.runtime.backends`):
-    ``"numpy"`` (reference, default), ``"codegen"`` / ``"numba"`` (native
-    per-node kernels with plan-time verification and per-node fallback), or
-    ``"auto"`` (fastest available).  An unavailable backend silently
+    ``"numpy"`` (reference, default), ``"numba"`` (native per-node kernels
+    with plan-time verification and per-node fallback), or ``"auto"``
+    (``numba`` when installed, else ``numpy``).  An unavailable backend silently
     degrades to the reference; ``plan.backend`` reports what actually runs.
     """
     optimize_capture(capture, optimize, parallel_workers=parallel_workers)

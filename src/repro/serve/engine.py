@@ -85,9 +85,9 @@ class InferenceEngine:
         :func:`repro.metrics.profiler.summarize_runtime`'s hot-op table.
     backend:
         Kernel backend for the compiled path (:mod:`repro.runtime.backends`):
-        ``"numpy"`` (reference, default), ``"codegen"`` / ``"numba"`` (native
-        per-node kernels with per-node fallback), or ``"auto"`` (fastest
-        available).  Ignored without ``compile=True``.
+        ``"numpy"`` (reference, default), ``"numba"`` (native per-node
+        kernels with per-node fallback), or ``"auto"`` (``numba`` when
+        installed, else ``numpy``).  Ignored without ``compile=True``.
     dtype:
         Serving precision (``"float32"`` / ``"float64"``); the default keeps
         the snapshot's current precision.  The snapshot model is recast in

@@ -113,9 +113,9 @@ class BPTTTrainer:
         :func:`repro.metrics.profiler.summarize_runtime`.
     backend:
         Kernel backend for the compiled runtime (:mod:`repro.runtime.backends`):
-        ``"numpy"`` (reference, default), ``"codegen"`` / ``"numba"`` (native
-        per-node kernels, plan-time verified, per-node fallback to NumPy), or
-        ``"auto"`` (fastest available).  Ignored without ``compile=True``.
+        ``"numpy"`` (reference, default), ``"numba"`` (native per-node
+        kernels, plan-time verified, per-node fallback to NumPy), or
+        ``"auto"`` (``numba`` when installed, else ``numpy``).  Ignored without ``compile=True``.
     dtype:
         Training precision (``"float32"`` / ``"float64"``); the default keeps
         the model's current precision (float32 throughout the repo).  When

@@ -8,6 +8,64 @@ import pytest
 from repro.autograd.tensor import Tensor
 
 
+def _shared_state() -> dict:
+    """Process-wide mutable state a test must leave as it found it."""
+    from repro.autograd.tensor import active_trace, is_grad_enabled
+    from repro.obs.trace import get_tracer
+    from repro.resilience import faults
+    from repro.runtime.backends import numba_backend
+
+    tracer = get_tracer()
+    return {
+        "grad mode": is_grad_enabled(),
+        "op trace": active_trace(),
+        "resilience.faults._ACTIVE": faults._ACTIVE,
+        "tracer.enabled": tracer.enabled,
+        "tracer.exporters": tracer.exporters,
+        "tracer.kernel_sample_rate": tracer.kernel_sample_rate,
+        "tracer.flight": tracer.flight,
+        "numba_backend.NUMBA_AVAILABLE": numba_backend.NUMBA_AVAILABLE,
+        "numba_backend._njit": numba_backend._njit,
+        "numba_backend._JIT_CACHE": numba_backend._JIT_CACHE,
+    }
+
+
+def _same(before, after) -> bool:
+    """Plain values compare by value; objects (traces, recorders, caches) by identity."""
+    return before is after or (isinstance(before, (bool, int, float, tuple))
+                               and before == after)
+
+
+@pytest.fixture(autouse=True)
+def shared_state_guard():
+    """Fail the test that leaves shared state changed, not a later victim."""
+    before = _shared_state()
+    yield
+    after = _shared_state()
+    leaked = [f"{name}: {before[name]!r} -> {after[name]!r}"
+              for name in before if not _same(before[name], after[name])]
+    if leaked:
+        pytest.fail("test leaked shared state:\n  " + "\n  ".join(leaked),
+                    pytrace=False)
+
+
+@pytest.fixture
+def interpreted_numba(monkeypatch):
+    """Run the real ``numba`` backend with its flat-loop kernels un-jitted.
+
+    Marks numba available and swaps ``njit`` for an identity decorator (with
+    a fresh JIT cache), so ``backend="numba"`` compiles, verifies and
+    replays the emitted sources as plain Python.  The whole native-kernel
+    path — plan-time verification, per-node fallback, labels, accounting —
+    then runs on machines without numba.
+    """
+    from repro.runtime.backends import numba_backend
+
+    monkeypatch.setattr(numba_backend, "NUMBA_AVAILABLE", True)
+    monkeypatch.setattr(numba_backend, "_njit", lambda **options: (lambda fn: fn))
+    monkeypatch.setattr(numba_backend, "_JIT_CACHE", {})
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     """Deterministic random generator for every test."""

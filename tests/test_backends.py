@@ -1,4 +1,4 @@
-"""Tests for the kernel backend registry and native codegen
+"""Tests for the kernel backend registry and the native numba backend
 (:mod:`repro.runtime.backends`).
 
 Guarantees under test:
@@ -12,13 +12,15 @@ Guarantees under test:
   the reference backend; a backend that declines every node produces a
   plan that still replays correctly, with the declines counted as
   fallbacks and labelled ``@fallback``.
-* **Numba-mode sources are plain valid Python**: the flat-loop kernels are
-  exec'd (without ``@njit``) and verified against the reference kernels on
-  real captured nodes, so their semantics are covered on machines without
-  numba.
+* **The flat-loop sources are plain valid Python**: under the
+  ``interpreted_numba`` fixture the real ``numba`` backend runs them
+  un-jitted, so plan-time verification, per-node fallback, the
+  capture-step backward and the parity matrix all run on machines without
+  numba; the emitters are also checked directly against the registry
+  reference kernels.
 * **Accounting**: ``runtime_stats()["backend"]`` counts native/fallback
   nodes and replays; profiler hot-op rows carry the executing backend;
-  the codegen backend keeps the zero-steady-state-allocation property.
+  native plans keep the zero-steady-state-allocation property.
 """
 
 from __future__ import annotations
@@ -46,9 +48,7 @@ from repro.runtime.backends.codegen import (
     chain_program,
     compile_python,
     emit_chain_numba,
-    emit_chain_python,
     emit_lif_numba,
-    emit_lif_python,
     lif_config,
     verify_kernel,
 )
@@ -57,6 +57,7 @@ from repro.runtime.backends.numba_backend import (
     _NumbaChainKernel,
     _NumbaLIFKernel,
 )
+from repro.runtime.ops import _ew_chain_bwd, _ew_chain_fwd, get_op
 from repro.serve.engine import InferenceEngine
 from repro.snn.loss import mean_output_cross_entropy
 from repro.training.config import TrainingConfig
@@ -66,8 +67,6 @@ TIMESTEPS = 2
 NUM_CLASSES = 4
 #: ISSUE bound on native-vs-reference logit drift per dtype
 DRIFT = {"float32": 1e-3, "float64": 1e-6}
-#: native backends the parity matrix exercises on this machine
-NATIVE_BACKENDS = ["codegen"] + (["numba"] if NUMBA_AVAILABLE else [])
 
 
 def _make_model(arch: str, variant: str, seed: int = 0):
@@ -115,21 +114,23 @@ def _unsealed_plan(backend: str = "numpy"):
 
 
 def test_registry_names_and_reference():
-    names = backend_names()
-    for expected in ("numpy", "codegen", "numba"):
-        assert expected in names
-    # The dependency-free backends are available everywhere; numba may not be.
+    assert backend_names() == ["numba", "numpy"]
+    # The reference backend is available everywhere; numba may not be.
     assert "numpy" in available_backends()
-    assert "codegen" in available_backends()
     assert get_backend("numpy").is_reference
-    assert not get_backend("codegen").is_reference
+    assert not get_backend("numba").is_reference
     assert resolve_backend("numpy").name == "numpy"
-    assert resolve_backend("codegen").name == "codegen"
+    with pytest.raises(ValueError, match="unknown backend"):
+        resolve_backend("codegen")
 
 
 def test_auto_resolves_to_fastest_available():
     resolved = resolve_backend("auto")
-    assert resolved.name == ("numba" if NUMBA_AVAILABLE else "codegen")
+    assert resolved.name == ("numba" if NUMBA_AVAILABLE else "numpy")
+
+
+def test_auto_resolves_to_numba_when_it_can_compile(interpreted_numba):
+    assert resolve_backend("auto").name == "numba"
 
 
 def test_unknown_backend_raises_everywhere():
@@ -164,7 +165,7 @@ def test_unavailable_numba_degrades_to_reference():
 
 def test_kernel_backend_label_parsing():
     assert kernel_backend("ew_chain") == "numpy"
-    assert kernel_backend("ew_chain@codegen") == "codegen"
+    assert kernel_backend("ew_chain@numba") == "numba"
     assert kernel_backend("bwd:fn_cached:_FusedLIFSequence@numba") == "numba"
     assert kernel_backend("ew_chain@fallback") == "fallback"
 
@@ -181,52 +182,36 @@ def test_invalid_dtype_policy_rejected():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", NATIVE_BACKENDS)
 @pytest.mark.parametrize("arch,variant", [
     ("vgg9", "stt"), ("vgg9", "ptt"), ("vgg9", "htt"), ("resnet18", "ptt"),
 ])
-def test_native_train_matches_numpy_backend(backend, arch, variant):
+def test_native_train_matches_numpy_backend(interpreted_numba, arch, variant):
     """Native O1 training tracks the reference backend across K SGD steps."""
     reference, native = _make_pair(arch, variant)
     t_ref = _trainer(reference)
-    t_nat = _trainer(native, backend=backend)
-    tol = DRIFT["float32"] if backend == "numba" else 1e-6
+    t_nat = _trainer(native, backend="numba")
     for step, (data, labels) in enumerate(_batches(steps=3)):
         s0 = t_ref.train_step(data, labels)
         s1 = t_nat.train_step(data, labels)
-        assert abs(s0["loss"] - s1["loss"]) <= tol, f"step {step}"
+        assert abs(s0["loss"] - s1["loss"]) <= DRIFT["float32"], f"step {step}"
     for (name, p0), (_, p1) in zip(reference.named_parameters(),
                                    native.named_parameters()):
-        np.testing.assert_allclose(p1.grad, p0.grad, atol=tol, err_msg=f"grad {name}")
-        np.testing.assert_allclose(p1.data, p0.data, atol=tol, err_msg=f"param {name}")
+        np.testing.assert_allclose(p1.grad, p0.grad, atol=DRIFT["float32"],
+                                   err_msg=f"grad {name}")
+        np.testing.assert_allclose(p1.data, p0.data, atol=DRIFT["float32"],
+                                   err_msg=f"param {name}")
     stats = t_nat.runtime_stats()["backend"]
-    assert stats["active"] == backend
+    assert stats["active"] == "numba"
     assert stats["native_nodes"] > 0
     assert stats["native_replays"] > 0
 
 
-def test_codegen_train_is_bit_identical():
-    """The python-mode kernels replay the exact reference ufunc sequence."""
-    reference, native = _make_pair("vgg9", "ptt")
-    t_ref = _trainer(reference)
-    t_cg = _trainer(native, backend="codegen")
-    for data, labels in _batches(steps=4):
-        s0 = t_ref.train_step(data, labels)
-        s1 = t_cg.train_step(data, labels)
-        assert s0["loss"] == s1["loss"]
-    for (name, p0), (_, p1) in zip(reference.named_parameters(),
-                                   native.named_parameters()):
-        assert np.array_equal(p0.grad, p1.grad), f"grad {name}"
-        assert np.array_equal(p0.data, p1.data), f"param {name}"
-
-
-@pytest.mark.parametrize("backend", NATIVE_BACKENDS)
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
-def test_native_train_dtype_policy(backend, dtype):
+def test_native_train_dtype_policy(interpreted_numba, dtype):
     """The dtype knob carries through params, plans and native kernels."""
     reference, native = _make_pair("vgg9", "ptt")
     t_ref = _trainer(reference, dtype=dtype)
-    t_nat = _trainer(native, backend=backend, dtype=dtype)
+    t_nat = _trainer(native, backend="numba", dtype=dtype)
     for data, labels in _batches(steps=2):
         s0 = t_ref.train_step(data, labels)
         s1 = t_nat.train_step(data, labels)
@@ -237,14 +222,13 @@ def test_native_train_dtype_policy(backend, dtype):
     assert stats["backend"]["native_nodes"] > 0
 
 
-@pytest.mark.parametrize("backend", NATIVE_BACKENDS)
 @pytest.mark.parametrize("arch", ["vgg9", "resnet18"])
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
-def test_native_serve_matches_numpy_backend(backend, arch, dtype):
+def test_native_serve_matches_numpy_backend(interpreted_numba, arch, dtype):
     """O2 serve logits stay within the per-dtype drift bound of the oracle."""
     reference, native = _make_pair(arch, "ptt")
     e_ref = InferenceEngine(reference, compile=True, dtype=dtype)
-    e_nat = InferenceEngine(native, compile=True, backend=backend, dtype=dtype)
+    e_nat = InferenceEngine(native, compile=True, backend="numba", dtype=dtype)
     rng = np.random.default_rng(3)
     for n in (2, 2, 1):
         batch = rng.random((n, 3, 8, 8)).astype(np.float32)
@@ -253,7 +237,7 @@ def test_native_serve_matches_numpy_backend(backend, arch, dtype):
         assert l1.dtype == np.dtype(dtype)
         np.testing.assert_allclose(l1, l0, atol=DRIFT[dtype])
     stats = e_nat.runtime_stats()["backend"]
-    assert stats["active"] == backend
+    assert stats["active"] == "numba"
     assert stats["native_nodes"] > 0
 
 
@@ -263,12 +247,12 @@ def test_native_serve_matches_numpy_backend(backend, arch, dtype):
 
 
 class _DecliningBackend(Backend):
-    """Eligible for everything the codegen backend is, compiles nothing."""
+    """Eligible for everything the numba backend is, compiles nothing."""
 
     name = "declining-test"
 
     def eligible(self, node) -> bool:
-        return get_backend("codegen").eligible(node)
+        return get_backend("numba").eligible(node)
 
 
 def test_declining_backend_counts_fallbacks_and_stays_correct():
@@ -293,22 +277,22 @@ def test_declining_backend_counts_fallbacks_and_stays_correct():
     assert any(label.endswith("@fallback") for label in plan._fwd_labels)
 
 
-def test_native_labels_and_profiler_attribution():
-    trainer = _trainer(_make_model("vgg9", "ptt"), backend="codegen", profile=True)
+def test_native_labels_and_profiler_attribution(interpreted_numba):
+    trainer = _trainer(_make_model("vgg9", "ptt"), backend="numba", profile=True)
     for data, labels in _batches(steps=3):
         trainer.train_step(data, labels)
     plan = next(iter(trainer._compiled._plans.values()))[0]
-    assert any(label.endswith("@codegen") for label in plan._fwd_labels)
-    assert any(label.startswith("bwd:") and label.endswith("@codegen")
+    assert any(label.endswith("@numba") for label in plan._fwd_labels)
+    assert any(label.startswith("bwd:") and label.endswith("@numba")
                for label in plan._bwd_labels)
     stats = trainer.runtime_stats()["backend"]
     assert stats["native_replays"] == stats["native_nodes"] * 2
     report = summarize_runtime(trainer._compiled)
-    assert any(row["backend"] == "codegen" for row in report["hot_ops"])
+    assert any(row["backend"] == "numba" for row in report["hot_ops"])
 
 
-def test_codegen_plans_keep_zero_steady_state_allocations():
-    trainer = _trainer(_make_model("vgg9", "ptt"), backend="codegen")
+def test_native_plans_keep_zero_steady_state_allocations(interpreted_numba):
+    trainer = _trainer(_make_model("vgg9", "ptt"), backend="numba")
     batches = _batches(steps=6)
     for data, labels in batches[:3]:
         trainer.train_step(data, labels)
@@ -319,8 +303,38 @@ def test_codegen_plans_keep_zero_steady_state_allocations():
     assert arena.allocated == allocated
 
 
+def test_capture_step_backward_reads_reference_saved_state(interpreted_numba):
+    """The first backward follows the eager capture forward, not a native
+    one: until a replayed forward hands a kernel its token, its backward must
+    run on the reference saved state, never on its own (stale) buffers."""
+    _, plan = _unsealed_plan()
+    backend = get_backend("numba")
+    bwd_ids = {id(node) for node in plan._bwd_nodes}
+    checked = set()
+    for node in plan.nodes:
+        if node is None or id(node) not in bwd_ids or not backend.eligible(node):
+            continue
+        needs = tuple(plan._needs[i] for i in node.inputs)
+        kernel = backend.compile_node(node, plan.slots, needs, True)
+        if kernel is None:
+            continue                          # declined: replays on NumPy
+        ins = [np.asarray(plan.slots[i].array) for i in node.inputs]
+        out = np.asarray(plan.slots[node.out].array)
+        g = np.cos(np.arange(out.size)).reshape(out.shape).astype(out.dtype)
+        kernel.forward([x * 2 + 1 for x in ins], node.attrs)   # stale buffers
+        want = get_op(node.op).backward(np.array(g), ins, out, node.saved,
+                                        node.attrs, needs)
+        got = kernel.backward(np.array(g), ins, out, node.saved, node.attrs, needs)
+        for position, need in enumerate(needs):
+            if need:
+                np.testing.assert_allclose(got[position], want[position],
+                                           rtol=1e-5, atol=1e-6)
+        checked.add(node.op)
+    assert checked == {"ew_chain", "fn_cached"}
+
+
 # ---------------------------------------------------------------------------
-# numba-mode sources are plain valid Python (semantics covered without numba)
+# flat-loop sources are plain valid Python (semantics covered without numba)
 # ---------------------------------------------------------------------------
 
 
@@ -390,10 +404,26 @@ def _toy_program(dtype, in_shapes, step_shapes):
     }
 
 
+def _reference_chain_attrs(program):
+    """The optimizer's ``ew_chain`` attrs for ``program``: each step runs its
+    registered op kernels (see ``repro.runtime.optimizer``)."""
+    prog = []
+    for step in program["steps"]:
+        opdef = get_op(step["op"])
+        attrs = {key: step[key] for key in ("low", "high", "exponent")
+                 if key in step}
+        prog.append({"op": step["op"], "fwd": opdef.forward, "bwd": opdef.backward,
+                     "attrs": attrs, "ins": list(step["ins"]),
+                     "needs": (True,) * len(step["ins"]), "shape": step["shape"],
+                     "dtype": step["dtype"], "buffered": opdef.out_capable})
+    return {"prog": prog, "ws": Workspace()}
+
+
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
-def test_numba_chain_source_matches_python_mode(dtype):
-    """Flat-loop and ufunc-sequence emissions agree on a fabricated chain
-    with array and scalar externals (scalar grads use the accumulator path)."""
+def test_numba_chain_source_matches_reference_kernels(dtype):
+    """The flat-loop chain agrees with the registry ``ew_chain`` kernels on a
+    fabricated chain with array and scalar externals (scalar grads use the
+    accumulator path)."""
     shape = (2, 6)
     program = _toy_program(dtype, [shape, shape, (1, 1)], [shape] * 9)
     needs = (True, True, True)
@@ -402,10 +432,10 @@ def test_numba_chain_source_matches_python_mode(dtype):
            for s in program["in_shapes"]]
     g = rng.standard_normal(shape).astype(dtype)
 
-    py = compile_python(emit_chain_python(program, needs))
-    ws = Workspace()
-    want = np.array(py["cg_fwd"](ins, ws))
-    want_grads = py["cg_bwd"](g, ins, ws)
+    attrs = _reference_chain_attrs(program)
+    want, saved = _ew_chain_fwd(ins, attrs)
+    want = np.array(want)
+    want_grads = _ew_chain_bwd(g, ins, want, saved, attrs, needs)
 
     source, kinds = emit_chain_numba(program, needs)
     assert kinds == ["array", "array", "scalar"]
@@ -416,11 +446,18 @@ def test_numba_chain_source_matches_python_mode(dtype):
     got_grads = impl.backward(g, ins, got, token, {}, needs)
     for k, shape in enumerate(program["in_shapes"]):
         # The planner unbroadcasts external grads to the slot shape after the
-        # kernel returns; mirror that here so both modes are comparable.
+        # kernel returns; mirror that here so both sides are comparable.
         np.testing.assert_allclose(
             _unbroadcast(np.asarray(got_grads[k]), shape),
             _unbroadcast(np.asarray(want_grads[k]), shape),
             rtol=rtol, atol=rtol, err_msg=f"input {k}")
+
+    # Capture-step backward: handed reference-format saved state, the kernel
+    # must ignore its own step buffers (stale after this forward).
+    impl.forward([x * 2 for x in ins], {})
+    capture_grads = impl.backward(g, ins, want, saved, attrs, needs)
+    for k in range(len(ins)):
+        np.testing.assert_array_equal(capture_grads[k], want_grads[k])
 
 
 def test_numba_chain_emitter_declines_broadcast_and_mixed_dtype():
@@ -434,22 +471,29 @@ def test_numba_chain_emitter_declines_broadcast_and_mixed_dtype():
         emit_chain_numba(mixed, needs)
 
 
-@pytest.mark.parametrize("hard,detach", [(True, False), (False, False), (True, True)])
-def test_numba_lif_source_matches_python_mode(hard, detach):
-    """Flat-loop LIF recurrence == unrolled ufunc sequence for every reset
-    and detach branch the emitter specializes."""
+@pytest.mark.parametrize("hard,detach", [(True, False), (False, False), (True, True),
+                                         (False, True)])
+def test_numba_lif_source_matches_reference_kernel(hard, detach):
+    """Flat-loop LIF recurrence == ``_FusedLIFSequence`` for every reset and
+    detach branch the emitter specializes (soft-reset cases use a
+    non-unit surrogate width)."""
+    from repro.snn.neurons import SurrogateRectangular, _FusedLIFSequence
+
     shape, dtype = (3, 2, 4), np.dtype(np.float32)
+    width = 1.0 if hard else 0.5
     cfg = {"shape": shape, "timesteps": 3, "frame": shape[1:], "size": 8,
-           "dtype": dtype, "tau": 0.5, "vth": 1.0, "width": 1.0,
+           "dtype": dtype, "tau": 0.5, "vth": 1.0, "width": width,
            "hard": hard, "detach": detach}
     rng = np.random.default_rng(11)
     cur = (rng.standard_normal(shape) * 2).astype(dtype)
     g = rng.standard_normal(shape).astype(dtype)
 
-    py = compile_python(emit_lif_python(cfg))
-    ws = Workspace()
-    want_spk = np.array(py["lif_fwd"](cur, ws))
-    want_gin = np.array(py["lif_bwd"](g, ws))
+    reference = _FusedLIFSequence(0.5, 1.0, SurrogateRectangular(width),
+                                  hard_reset=hard, detach_reset=detach)
+    want_spk = np.array(reference.forward(cur))
+    (want_gin,) = reference.backward(g)
+    want_gin = np.array(want_gin)
+    want_infer = np.array(reference.forward_inference(cur))
 
     impl = _NumbaLIFKernel(compile_python(emit_lif_numba(cfg)), cfg)
     got_spk, token = impl.forward([cur], {})
@@ -457,7 +501,7 @@ def test_numba_lif_source_matches_python_mode(hard, detach):
     (got_gin,) = impl.backward(g, [cur], got_spk, token, {}, (True,))
     np.testing.assert_allclose(got_gin, want_gin, rtol=1e-6, atol=1e-6)
     infer_spk = impl.forward_inference([cur], {})
-    np.testing.assert_array_equal(infer_spk, want_spk)
+    np.testing.assert_array_equal(infer_spk, want_infer)
 
 
 @pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not installed")
@@ -504,7 +548,7 @@ def test_engine_pad_buffers_keyed_by_dtype():
     """A float64 engine and a float32 engine never share pad storage."""
     e32 = InferenceEngine(_make_model("vgg9", "ptt"), compile=True)
     e64 = InferenceEngine(_make_model("vgg9", "ptt"), compile=True,
-                          dtype="float64", backend="codegen")
+                          dtype="float64")
     rng = np.random.default_rng(21)
     batch = rng.random((3, 3, 8, 8)).astype(np.float32)   # pads to 4
     l32 = e32.infer(batch)

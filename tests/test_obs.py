@@ -283,7 +283,7 @@ class TestTracing:
         tracer.enabled = True
         parent = tracer.start_span("replay")
         tracer.add_timed_children(parent, [("conv@numpy", 0.5, 4),
-                                           ("lif@codegen", 0.25, 2)])
+                                           ("lif@numba", 0.25, 2)])
         tracer.finish_span(parent)
         first, second = parent.children
         assert first.duration_s == pytest.approx(0.5)

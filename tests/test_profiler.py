@@ -48,7 +48,7 @@ class TestKernelBackend:
     @pytest.mark.parametrize("label, backend", [
         ("conv2d", "numpy"),                      # unsuffixed = reference
         ("bwd:conv2d", "numpy"),
-        ("matmul@codegen", "codegen"),
+        ("matmul@numba", "numba"),
         ("bwd:lif@numba", "numba"),
         ("fn_cached:ConvChannelsLastFunction@numpy", "numpy"),
         ("elementwise_chain@fallback", "fallback"),
@@ -80,7 +80,7 @@ class TestSummarizeRuntime:
                     "mean_capture_s": 0.100, "mean_replay_s": 0.010,
                     "kernels": {
                         "conv2d": {"seconds": 6.0, "calls": 30},
-                        "matmul@codegen": {"seconds": 3.0, "calls": 10},
+                        "matmul@numba": {"seconds": 3.0, "calls": 10},
                         "bwd:lif@fallback": {"seconds": 1.0, "calls": 5},
                     },
                 }
@@ -92,8 +92,8 @@ class TestSummarizeRuntime:
         assert len(hot) == 2  # top_k truncates
         assert hot[0]["op"] == "conv2d" and hot[0]["backend"] == "numpy"
         assert hot[0]["share"] == pytest.approx(0.6)
-        assert hot[1]["op"] == "matmul@codegen"
-        assert hot[1]["backend"] == "codegen"
+        assert hot[1]["op"] == "matmul@numba"
+        assert hot[1]["backend"] == "numba"
 
     def test_hot_op_table_from_a_real_profiled_trainer(self):
         from repro.models.vgg import spiking_vgg9

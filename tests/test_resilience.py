@@ -414,11 +414,11 @@ class TestCheckpointDurability:
 
 
 class TestNumericGuards:
-    def _compiled_forward(self, model, backend="codegen", **kwargs):
+    def _compiled_forward(self, model, backend="numba", **kwargs):
         return model.compile(fn=model.run_timesteps, backend=backend,
                              optimize="O1", guard_numerics=True, **kwargs)
 
-    def test_injected_nan_quarantines_offending_native_kernel(self):
+    def test_injected_nan_quarantines_offending_native_kernel(self, interpreted_numba):
         rng = np.random.default_rng(0)
         model = tiny_model()
         model.eval()
@@ -444,7 +444,7 @@ class TestNumericGuards:
         plans = [entry[0] for entry in fwd._plans.values()]
         # Exactly the one offending kernel is quarantined, by native label.
         assert len(plans[0].quarantined) == 1
-        assert plans[0].quarantined[0].endswith("@codegen")
+        assert plans[0].quarantined[0].endswith("@numba")
 
     def test_reference_kernel_fault_raises_typed(self):
         rng = np.random.default_rng(0)
