@@ -172,6 +172,52 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _index_may_repeat(index, shape: Tuple[int, ...]) -> bool:
+    """Whether ``x[index]`` (``x.shape == shape``) can select an element twice.
+
+    Basic indices (ints, slices, ``Ellipsis``, ``None``) and boolean masks
+    select each element at most once; a single integer array repeats only if
+    it names a position twice once negative entries are wrapped.  Two or more
+    array indices broadcast against each other and count as may-repeat.
+    """
+    items = index if isinstance(index, tuple) else (index,)
+    basic = (slice, int, np.integer, np.bool_, type(None), type(Ellipsis))
+    arrays = [(pos, np.asarray(item)) for pos, item in enumerate(items)
+              if not isinstance(item, basic)]
+    if not arrays:
+        return False
+    if len(arrays) > 1:
+        return True
+    pos, positions = arrays[0]
+    if positions.dtype == np.bool_ or positions.size <= 1:
+        return False
+
+    def consumed(item) -> int:
+        return 0 if item is None or item is Ellipsis or isinstance(item, (bool, np.bool_)) else 1
+
+    axis = 0
+    for item in items[:pos]:
+        axis += len(shape) - sum(map(consumed, items)) if item is Ellipsis else consumed(item)
+    wrapped = positions.ravel() % shape[axis]
+    return np.unique(wrapped).size != wrapped.size
+
+
+def _getitem_grad(like: np.ndarray, index, grad: np.ndarray) -> np.ndarray:
+    """Gradient of ``like[index]`` with respect to ``like``.
+
+    Shared by the eager op and the compiled ``getitem`` kernel so both take
+    the same branch.  An index that selects every element at most once
+    writes ``grad`` into place; only an index that may repeat pays for the
+    unbuffered ``np.add.at`` accumulation (~25x slower than the write).
+    """
+    full = np.zeros_like(like)
+    if _index_may_repeat(index, like.shape):
+        np.add.at(full, index, grad)
+    else:
+        full[index] = grad
+    return full
+
+
 def as_tensor(value: ArrayLike, dtype=np.float32) -> "Tensor":
     """Coerce ``value`` into a :class:`Tensor` (no copy when already a Tensor)."""
     if isinstance(value, Tensor):
@@ -583,9 +629,7 @@ class Tensor:
         out_data = self.data[index]
 
         def backward(grad: np.ndarray) -> None:
-            full = np.zeros_like(self.data)
-            np.add.at(full, index, np.asarray(grad))
-            self._accumulate_grad(full)
+            self._accumulate_grad(_getitem_grad(self.data, index, np.asarray(grad)))
 
         return _traced("getitem", out_data, (self,), backward, {"index": index})
 

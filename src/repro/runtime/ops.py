@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.autograd.tensor import _unbroadcast
+from repro.autograd.tensor import _getitem_grad, _unbroadcast
 
 __all__ = ["OpDef", "OPS", "register_op", "get_op"]
 
@@ -233,9 +233,7 @@ def _getitem_fwd(ins, attrs, out=None):
 
 
 def _getitem_bwd(g, ins, out, saved, attrs, needs):
-    full = np.zeros_like(ins[0])
-    np.add.at(full, attrs["index"], np.asarray(g))
-    return [full]
+    return [_getitem_grad(ins[0], attrs["index"], np.asarray(g))]
 
 
 def _detach_fwd(ins, attrs, out=None):
@@ -246,7 +244,10 @@ register_op("reshape", _reshape_fwd, _reshape_bwd, alias=True)
 register_op("transpose", _transpose_fwd, _transpose_bwd, alias=True)
 register_op("squeeze", _squeeze_fwd, _restore_shape_bwd, alias=True)
 register_op("unsqueeze", _unsqueeze_fwd, _restore_shape_bwd, alias=True)
-register_op("getitem", _getitem_fwd, _getitem_bwd)
+# Basic indices return views of the input, so getitem is an alias: the input's
+# buffer must outlive the slice's readers (an advanced-index copy merely keeps
+# it alive a little longer).
+register_op("getitem", _getitem_fwd, _getitem_bwd, alias=True)
 register_op("detach", _detach_fwd, None, alias=True, differentiable=False)
 register_op("copy", lambda ins, attrs, out=None: ins[0].copy(), None, differentiable=False)
 

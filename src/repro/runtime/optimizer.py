@@ -637,12 +637,23 @@ def _collapse_views(graph: _Graph, report: OptimizerReport) -> None:
             report.views_collapsed += 1
 
 
+def _canonical_value(value):
+    # Slices are unhashable before Python 3.12, and a list index selects
+    # differently from a tuple one: both get a tag so ``x[0:4]``, ``x[[0, 4]]``
+    # and ``x[0, 4]`` can never share a key.
+    if isinstance(value, slice):
+        return ("slice", value.start, value.stop, value.step)
+    if isinstance(value, list):
+        return ("list",) + tuple(_canonical_value(item) for item in value)
+    if isinstance(value, tuple):
+        return tuple(_canonical_value(item) for item in value)
+    return value
+
+
 def _canonical_attrs(attrs: dict) -> Optional[tuple]:
     items = []
     for key in sorted(attrs):
-        value = attrs[key]
-        if isinstance(value, list):
-            value = tuple(value)
+        value = _canonical_value(attrs[key])
         try:
             hash(value)
         except TypeError:

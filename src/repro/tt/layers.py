@@ -32,6 +32,7 @@ majority) the two modes are identical and the merge is always exact.
 
 from __future__ import annotations
 
+import itertools
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -98,6 +99,17 @@ def htt_step_wiring(conv1, conv2, conv3, conv4, x: Tensor, use_half: bool) -> Te
         return conv4(vertical + horizontal)
 
 
+def _time_runs(flags: Sequence[bool]) -> List[Tuple[int, int, bool]]:
+    """Maximal runs ``(start, stop, half)`` of equal schedule flags, in time order."""
+    runs: List[Tuple[int, int, bool]] = []
+    start = 0
+    for half, group in itertools.groupby(flags):
+        stop = start + len(list(group))
+        runs.append((start, stop, bool(half)))
+        start = stop
+    return runs
+
+
 def htt_sequence_wiring(conv1, conv2, conv3, conv4, x_seq: Tensor,
                         flags: Sequence[bool]) -> Tensor:
     """Schedule-aware fused HTT over a channels-last ``(T, N, H, W, C)`` sequence.
@@ -106,31 +118,44 @@ def htt_sequence_wiring(conv1, conv2, conv3, conv4, x_seq: Tensor,
     batches; ``flags[t]`` is ``True`` when timestep ``t`` takes the half path.
     ``conv1`` runs once on the whole folded batch; the expensive
     ``conv2``/``conv3`` pair then runs only on the timesteps the schedule
-    marks full, the half timesteps take the short ``conv1 -> conv4`` path,
-    and the two groups are re-interleaved into time order.
+    marks full, and the half timesteps take the short ``conv1 -> conv4`` path.
+    Both groups are built from basic slices of the time axis and merged back
+    in time order by concatenating per-run slices, so neither direction
+    gathers or scatters: for the paper's full-prefix schedules (``FFFFHH``)
+    that is ``shared[:F]``, ``shared[F:]`` and one concatenate.
     """
     timesteps = x_seq.shape[0]
     shared = unfold_time(conv1(fold_time(x_seq)), timesteps)
-    full_steps = [t for t, half in enumerate(flags) if not half]
-    half_steps = [t for t, half in enumerate(flags) if half]
 
-    if not half_steps:
+    if not any(flags):
         folded = fold_time(shared)
         with trace_region("tt:ptt_tail"):
             out = conv4(conv2(folded) + conv3(folded))
         return unfold_time(out, timesteps)
-    if not full_steps:
+    if all(flags):
         return unfold_time(conv4(fold_time(shared)), timesteps)
 
-    shared_full = fold_time(shared[full_steps])
+    runs = _time_runs(flags)
+
+    def group(half: bool) -> Tensor:
+        parts = [shared[start:stop] for start, stop, h in runs if h == half]
+        return parts[0] if len(parts) == 1 else Tensor.concatenate(parts, axis=0)
+
+    shared_full, shared_half = group(False), group(True)
+    folded_full = fold_time(shared_full)
     with trace_region("tt:ptt_tail"):
-        out_full_folded = conv4(conv2(shared_full) + conv3(shared_full))
-    out_full = unfold_time(out_full_folded, len(full_steps))
-    out_half = unfold_time(conv4(fold_time(shared[half_steps])), len(half_steps))
-    combined = Tensor.concatenate([out_full, out_half], axis=0)
-    # Rows are ordered full-then-half; scatter them back into time order.
-    order = np.argsort(np.asarray(full_steps + half_steps, dtype=np.int64))
-    return combined[list(order)]
+        out_full_folded = conv4(conv2(folded_full) + conv3(folded_full))
+    outs = {False: unfold_time(out_full_folded, shared_full.shape[0]),
+            True: unfold_time(conv4(fold_time(shared_half)), shared_half.shape[0])}
+    # Each run takes the next rows of its group's output, in time order; a
+    # run that is its whole group is used as is (no identity slice node).
+    pieces = []
+    taken = {False: 0, True: 0}
+    for start, stop, half in runs:
+        out, offset = outs[half], taken[half]
+        taken[half] = offset + stop - start
+        pieces.append(out if stop - start == out.shape[0] else out[offset:taken[half]])
+    return Tensor.concatenate(pieces, axis=0)
 
 
 def parse_htt_schedule(schedule: Union[str, Sequence[bool]]) -> List[bool]:
@@ -426,7 +451,8 @@ class HTTConv2d(TTConv2dBase):
         ``conv1`` runs once on the whole folded batch; the expensive
         ``conv2``/``conv3`` pair then runs only on the timesteps the schedule
         marks full, the half timesteps take the short ``conv1 -> conv4``
-        path, and the two groups are re-interleaved into time order.
+        path, and the two groups (time slices, see
+        :func:`htt_sequence_wiring`) are merged back into time order.
         """
         timesteps = x_seq.shape[0]
         start = self._t

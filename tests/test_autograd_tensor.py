@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.autograd.tensor import Tensor, no_grad, is_grad_enabled, as_tensor
+from repro.autograd.tensor import Tensor, _index_may_repeat, no_grad, is_grad_enabled, as_tensor
 from repro.nn.module import Parameter
 
 from conftest import assert_grad_close, numerical_gradient
@@ -135,6 +135,30 @@ class TestReductionsAndShapes:
         a = Tensor(np.arange(6, dtype=np.float32), requires_grad=True)
         a[2:4].sum().backward()
         np.testing.assert_allclose(a.grad, [0, 0, 1, 1, 0, 0])
+
+    # (index into a (6, 4) tensor, whether it may select an element twice)
+    GETITEM_INDICES = [
+        ([0, 0, 2], True),
+        (np.array([3, 1, 3, 3]), True),
+        ([-1, 5], True),                       # duplicates once -1 wraps to 5
+        (([0, 1, 0], [2, 0, 2]), True),        # (0, 2) picked twice
+        (np.array([True, False, True, True, False, True]), False),
+        (slice(1, 4), False),
+        ((slice(None), slice(0, 4, 2)), False),
+        ((Ellipsis, [3, 0]), False),
+    ]
+
+    @pytest.mark.parametrize("index, may_repeat", GETITEM_INDICES)
+    def test_getitem_backward_matches_add_at(self, rng, index, may_repeat):
+        a = Tensor(rng.standard_normal((6, 4)).astype(np.float32), requires_grad=True)
+        picked = a[index]
+        upstream = rng.standard_normal(picked.shape).astype(np.float32)
+        (picked * Tensor(upstream)).sum().backward()
+        want = np.zeros((6, 4), dtype=np.float32)
+        np.add.at(want, index, upstream)
+        np.testing.assert_array_equal(a.grad, want)
+        # Only an index that can repeat pays for np.add.at.
+        assert _index_may_repeat(index, (6, 4)) is may_repeat
 
     def test_stack_and_concatenate(self, rng):
         a = Tensor(rng.standard_normal(3).astype(np.float32), requires_grad=True)

@@ -250,23 +250,25 @@ def test_tt_fold_strided_last_is_exact_and_strided_first_folds_tail():
 
 
 def test_htt_sequence_folds_full_tail_and_half_path():
-    rng = np.random.default_rng(5)
-    layer = HTTConv2d(6, 8, kernel_size=3, rank=3, timesteps=4, schedule="FFHH", rng=rng)
-    layer.eval()
+    # HFHF: the full and half groups are each concatenated from two time slices.
+    for schedule in ("FFHH", "HFHF"):
+        rng = np.random.default_rng(5)
+        layer = HTTConv2d(6, 8, kernel_size=3, rank=3, timesteps=4, schedule=schedule, rng=rng)
+        layer.eval()
 
-    def fn(t):
+        def fn(t):
+            layer.reset_time()
+            return layer.forward_sequence(t)
+
+        x = rng.standard_normal((4, 2, 7, 7, 6)).astype(np.float32)
+        compiled = CompiledForward(fn, optimize="O2")
+        compiled(x)
+        out = compiled(x)
         layer.reset_time()
-        return layer.forward_sequence(t)
-
-    x = rng.standard_normal((4, 2, 7, 7, 6)).astype(np.float32)
-    compiled = CompiledForward(fn, optimize="O2")
-    compiled(x)
-    out = compiled(x)
-    layer.reset_time()
-    with no_grad():
-        want = fn(Tensor(x)).data
-    np.testing.assert_allclose(out, want, atol=MERGE_ATOL)
-    assert _report(compiled)["folded_tt"] >= 1        # the full-branch tail
+        with no_grad():
+            want = fn(Tensor(x)).data
+        np.testing.assert_allclose(out, want, atol=MERGE_ATOL, err_msg=schedule)
+        assert _report(compiled)["folded_tt"] >= 1    # the full-branch tail
 
 
 def test_pad2d_folds_into_conv_with_grads():
@@ -377,6 +379,25 @@ def test_view_chain_collapse_and_cse_and_dce():
     plan_o0 = next(iter(baseline._plans.values()))[0]
     plan_o1 = next(iter(compiled._plans.values()))[0]
     assert len(plan_o1.nodes) < len(plan_o0.nodes)
+
+
+def test_cse_dedups_slice_getitems_without_tuple_collisions():
+    rng = np.random.default_rng(12)
+
+    def fn(t):
+        # The two t[0:3] nodes CSE; t[0, 3, None] must not be mistaken for
+        # them, nor t[[0, 3]] for t[0, 3], by the CSE key.
+        a, b = t[0:3], t[0:3]
+        return a * b + t[(0, 3, None)] + t[[0, 3]].sum() + t[(0, 3)]
+
+    x = rng.standard_normal((4, 4, 5)).astype(np.float32)
+    compiled = CompiledForward(fn, optimize="O1")
+    compiled(x)
+    with no_grad():
+        want = fn(Tensor(x)).data
+    np.testing.assert_array_equal(compiled(x), want)
+    assert _report(compiled)["cse_removed"] == 1
+    assert _op_histogram(compiled)["getitem"] == 4
 
 
 def test_lif_reshape_sandwich_removed():

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import functional as F
-from repro.autograd.tensor import Tensor
+from repro.autograd.tensor import Tensor, no_grad
 from repro.data.datasets import ArrayDataset, DataLoader, EventDataset
 from repro.metrics.profiler import summarize_runtime
 from repro.models.builder import convert_to_tt
@@ -302,6 +302,68 @@ def test_runtime_stats_report():
     assert report["replay_latency"]["count"] == 2.0
     assert report["capture_over_replay"] > 0
     assert "arena" in report and "plan" in report
+
+
+# ---------------------------------------------------------------------------
+# getitem backward: write vs np.add.at
+# ---------------------------------------------------------------------------
+
+
+class _PickModel:
+    """Duck-typed model whose only op is ``weight[index]`` scaled by the batch."""
+
+    def __init__(self, index):
+        self.index = index
+        self.weight = Tensor(np.zeros((6, 4), dtype=np.float32), requires_grad=True)
+        self.training = True
+        self.timesteps = 1
+        self.step_mode = "fused"
+
+    def parameters(self):
+        return [self.weight]
+
+    def run_timesteps(self, batch, step_mode=None):
+        return [self.weight[self.index] * batch]
+
+
+@pytest.mark.parametrize("index", [
+    [0, 0, 2],
+    np.array([3, 1, 3, 3]),
+    [-1, 5],
+    ([0, 1, 0], [2, 0, 2]),
+    np.array([True, False, True, True, False, True]),
+    (slice(None), slice(0, 4, 2)),
+], ids=["list-repeat", "array-repeat", "negative-repeat", "two-lists", "mask", "slices"])
+def test_compiled_getitem_backward_matches_add_at(index):
+    model = _PickModel(index)
+    step = CompiledTrainStep(model, lambda outputs, onehot: outputs[0].sum(), optimize="O1")
+    rng = np.random.default_rng(4)
+    shape = np.zeros((6, 4))[index].shape
+    for _ in range(2):                     # capture, then replay
+        batch = rng.standard_normal(shape).astype(np.float32)
+        model.weight.zero_grad()
+        step.run(batch, np.zeros(1, dtype=np.int64))
+        want = np.zeros((6, 4), dtype=np.float32)
+        np.add.at(want, index, batch)
+        np.testing.assert_array_equal(model.weight.grad, want)
+    assert step.replay_count == 1
+
+
+@pytest.mark.parametrize("optimize", ["O0", "O1", "O2"])
+def test_slice_view_keeps_its_buffer_alive_in_forward_plans(optimize):
+    """A basic-slice getitem is a view: the sliced buffer must not be handed to
+    a later same-shape node while the slice still has readers."""
+    def fn(t):
+        head = (t * 2.0)[0:2]
+        later = (t + 1.0).tanh()           # same shape as t * 2.0
+        return head * 3.0 + later[0:2]
+
+    x = np.random.default_rng(5).standard_normal((4, 4)).astype(np.float32)
+    compiled = CompiledForward(fn, optimize=optimize)
+    compiled(x)
+    with no_grad():
+        want = fn(Tensor(x)).data
+    np.testing.assert_array_equal(compiled(x), want)
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,19 @@ class TestEntanglementInvariant:
                                 _logits(concrete, batch, step_mode)):
             assert np.array_equal(ours, theirs)  # bitwise, not approx
 
+    @pytest.mark.parametrize("schedule", ["HFHF", "HHFF"])
+    def test_htt_non_prefix_schedule_bitwise(self, schedule):
+        """Schedules whose full steps are not a prefix merge several time slices."""
+        net = _supernet(timesteps=4, schedule=schedule)
+        config = [LayerChoice("htt", layer.ranks[-1]) for layer in net.space.layers]
+        net.apply_config(config)
+        concrete = net.materialise(config)
+        net.eval()
+        concrete.eval()
+        batch = _batch(timesteps=4)
+        for ours, theirs in zip(_logits(net, batch, "fused"), _logits(concrete, batch, "fused")):
+            assert np.array_equal(ours, theirs)
+
     def test_mixed_format_config_bitwise(self):
         net = _supernet()
         formats = ["dense", "stt", "ptt", "htt", "ptt"]

@@ -1,12 +1,22 @@
 """Tests for the STT / PTT / HTT convolution modules."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.autograd.conv import conv2d
 from repro.autograd.tensor import Tensor
+from repro.models.builder import convert_to_tt
+from repro.models.resnet import spiking_resnet18
+from repro.runtime import CompiledTrainStep
+from repro.snn.encoding import encode_batch
+from repro.snn.loss import mean_output_cross_entropy
+from repro.training.config import TrainingConfig
+from repro.training.trainer import BPTTTrainer
 from repro.tt.decomposition import max_tt_ranks
-from repro.tt.layers import HTTConv2d, PTTConv2d, STTConv2d, parse_htt_schedule
+from repro.tt.layers import (HTTConv2d, PTTConv2d, STTConv2d, htt_step_wiring,
+                             parse_htt_schedule)
 
 
 class TestConstruction:
@@ -161,3 +171,89 @@ class TestHTT:
     def test_invalid_timesteps(self):
         with pytest.raises(ValueError):
             HTTConv2d(4, 4, 3, rank=2, timesteps=0)
+
+
+def _schedule_str(flags):
+    return "".join("H" if half else "F" for half in flags)
+
+
+#: Every full/half placement at T=4, plus the paper's N-Caltech101 schedule.
+HTT_SCHEDULES = [_schedule_str(f) for f in itertools.product((False, True), repeat=4)]
+HTT_SCHEDULES.append("FFFFHH")
+
+
+def _resnet_htt(schedule: str, seed: int = 0):
+    model = spiking_resnet18(num_classes=4, in_channels=3, timesteps=len(schedule),
+                             width_scale=0.07, rng=np.random.default_rng(seed))
+    convert_to_tt(model, variant="htt", rank=4, timesteps=len(schedule), schedule=schedule)
+    return model
+
+
+class TestHTTSequenceWiring:
+    """The time-sliced fused HTT path against a per-timestep reference."""
+
+    @pytest.mark.parametrize("schedule", HTT_SCHEDULES)
+    def test_matches_per_timestep_loop(self, schedule):
+        timesteps = len(schedule)
+        rng = np.random.default_rng(3)
+        layer = HTTConv2d(3, 5, 3, rank=2, timesteps=timesteps, schedule=schedule, rng=rng)
+        convs = layer.sub_convolutions()
+        for conv in convs:              # float64: 1e-5 then bounds wiring errors only
+            conv.weight.data = conv.weight.data.astype(np.float64)
+        x = rng.standard_normal((timesteps, 2, 5, 5, 3))
+        upstream = Tensor(rng.standard_normal((timesteps, 2, 5, 5, 5)))
+
+        def run(forward):
+            for conv in convs:
+                conv.weight.zero_grad()
+            x_t = Tensor(x, requires_grad=True)
+            out = forward(x_t)
+            (out * upstream).sum().backward()
+            weight_grads = [np.zeros_like(c.weight.data) if c.weight.grad is None
+                            else c.weight.grad.copy() for c in convs]
+            return out.data, x_t.grad, weight_grads
+
+        fused = run(layer.forward_sequence)
+        steps = [c.forward_channels_last for c in convs]
+        flags = parse_htt_schedule(schedule)
+        looped = run(lambda x_t: Tensor.stack(
+            [htt_step_wiring(*steps, x_t[t], flags[t]) for t in range(timesteps)], axis=0))
+        np.testing.assert_allclose(fused[0], looped[0], atol=1e-5)
+        np.testing.assert_allclose(fused[1], looped[1], atol=1e-5)
+        for name, got, want in zip(("conv1", "conv2", "conv3", "conv4"), fused[2], looped[2]):
+            np.testing.assert_allclose(got, want, atol=1e-5, err_msg=name)
+
+    @pytest.mark.parametrize("schedule", ["FFHH", "HFHF"])
+    def test_compiled_o1_train_step_is_bit_exact_to_o0(self, schedule):
+        models = {level: _resnet_htt(schedule) for level in ("O0", "O1")}
+        models["O1"].load_state_dict(models["O0"].state_dict())
+        config = TrainingConfig(timesteps=len(schedule), batch_size=2, learning_rate=0.05)
+        rng = np.random.default_rng(7)
+        data = rng.random((2, 3, 8, 8)).astype(np.float32)
+        labels = rng.integers(0, 4, 2)
+        losses = {level: BPTTTrainer(model, config, compile=True, optimize=level)
+                  .train_step(data, labels)["loss"] for level, model in models.items()}
+        assert losses["O0"] == losses["O1"]
+        for (name, p0), (_, p1) in zip(models["O0"].named_parameters(),
+                                       models["O1"].named_parameters()):
+            np.testing.assert_array_equal(p0.grad, p1.grad, err_msg=f"grad {name}")
+
+    def test_paper_schedule_captures_no_gather(self):
+        model = _resnet_htt("FFFFHH")
+        step = CompiledTrainStep(model, mean_output_cross_entropy, optimize="O0")
+        rng = np.random.default_rng(8)
+        step.run(encode_batch(rng.random((2, 3, 8, 8)).astype(np.float32), 6),
+                 rng.integers(0, 4, 2))
+        plan = next(iter(step._plans.values()))[0]
+        getitems = [node.attrs["index"] for node in plan.nodes if node.op == "getitem"]
+
+        def gathers(index):
+            parts = index if isinstance(index, tuple) else (index,)
+            return any(isinstance(part, (list, np.ndarray)) for part in parts)
+
+        assert sum(map(gathers, getitems)) == 0
+        # Each HTT layer splits its conv1 output into exactly two time slices.
+        htt_layers = sum(isinstance(m, HTTConv2d) for m in model.modules())
+        assert htt_layers > 0
+        assert getitems.count(slice(0, 4)) == htt_layers
+        assert getitems.count(slice(4, 6)) == htt_layers
